@@ -460,8 +460,8 @@ pub const EVENTS: &[EventSchema] = &[
     EventSchema {
         name: "ckpt.tracker_dc",
         channel: Channel::Checkpoint,
-        doc: "Per-DC completion and delay tracker state.",
-        required: &[u("dc"), u("completed"), s("delay_sum"), s("delay_samples")],
+        doc: "Per-DC completion and delay tracker state; delay_hist[d] counts jobs finished with delay d.",
+        required: &[u("dc"), u("completed"), s("delay_sum"), s("delay_hist")],
         optional: &[],
     },
 ];

@@ -102,7 +102,7 @@ pub fn run_admission(
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    if configure(&stream).is_err() {
                         continue;
                     }
                     conns.push(Conn {
@@ -143,6 +143,14 @@ pub fn run_admission(
             let _ = write_line(&mut conn.stream, &line);
         }
     }
+}
+
+/// Sets up an accepted connection: non-blocking for the poll loop, and
+/// `TCP_NODELAY` so each reply line leaves at once instead of waiting,
+/// under Nagle's algorithm, for the peer's delayed ACK of the previous one.
+fn configure(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
 }
 
 /// Reads whatever the connection has, forwarding each complete line.
@@ -356,6 +364,16 @@ mod tests {
             fired_chaos: Arc::new(Mutex::new(BTreeSet::new())),
         };
         (shared, tele_rx)
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap());
+        configure(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::path::Path;
 
 use grefar_obs::json::{self, JsonValue};
 use grefar_obs::Event;
-use grefar_types::Slot;
 
 use crate::error::SimError;
 use crate::tracker::TrackerSnapshot;
@@ -175,26 +174,36 @@ impl Checkpoint {
                     .to_json(),
             );
         }
-        for (j, arrivals) in self.tracker.central.iter().enumerate() {
+        // Job lists stay one entry per job: cohorts expand on write and
+        // merge back on read.
+        for (j, cohorts) in self.tracker.central.iter().enumerate() {
             lines.push(
                 Event::new("ckpt.central_jobs")
                     .field("job", j)
-                    .field("arrivals", join_u64(arrivals))
+                    .field("arrivals", join_runs(cohorts.iter().copied()))
                     .to_json(),
             );
         }
         for (i, row) in self.tracker.local.iter().enumerate() {
-            for (j, jobs) in row.iter().enumerate() {
-                let arrivals: Vec<Slot> = jobs.iter().map(|&(a, _, _)| a).collect();
-                let serviceable: Vec<Slot> = jobs.iter().map(|&(_, s, _)| s).collect();
-                let remaining: Vec<f64> = jobs.iter().map(|&(_, _, r)| r).collect();
+            for (j, cohorts) in row.iter().enumerate() {
+                let jobs: u64 = cohorts.iter().map(|&(_, _, n)| n).sum();
+                let remaining = [
+                    (self.tracker.front_remaining[i][j], jobs.min(1)),
+                    (1.0, jobs.saturating_sub(1)),
+                ];
                 lines.push(
                     Event::new("ckpt.local_jobs")
                         .field("dc", i)
                         .field("job", j)
-                        .field("arrivals", join_u64(&arrivals))
-                        .field("serviceable", join_u64(&serviceable))
-                        .field("remaining", join_f64(&remaining))
+                        .field(
+                            "arrivals",
+                            join_runs(cohorts.iter().map(|&(a, _, n)| (a, n))),
+                        )
+                        .field(
+                            "serviceable",
+                            join_runs(cohorts.iter().map(|&(_, s, n)| (s, n))),
+                        )
+                        .field("remaining", join_runs(remaining.into_iter()))
                         .to_json(),
                 );
             }
@@ -205,7 +214,7 @@ impl Checkpoint {
                     .field("dc", i)
                     .field("completed", self.tracker.completed_per_dc[i])
                     .field("delay_sum", fmt_f64(self.tracker.dc_delay_sum[i]))
-                    .field("delay_samples", join_f64(&self.tracker.dc_delay_samples[i]))
+                    .field("delay_hist", join_u64(&self.tracker.delay_hist[i]))
                     .to_json(),
             );
         }
@@ -476,9 +485,10 @@ impl Checkpoint {
             tracker: TrackerSnapshot {
                 central: vec![Vec::new(); j_count],
                 local: vec![vec![Vec::new(); j_count]; n],
+                front_remaining: vec![vec![1.0; j_count]; n],
                 completed_per_dc: vec![0; n],
                 dc_delay_sum: vec![0.0; n],
-                dc_delay_samples: vec![Vec::new(); n],
+                delay_hist: vec![Vec::new(); n],
                 completed_total: get_u64(header, "completed_total", 1)?,
                 sojourn_sum: parse_f64(get_str(header, "sojourn_sum", 1)?, 1)?,
             },
@@ -518,7 +528,8 @@ impl Checkpoint {
                 }
                 Some("ckpt.central_jobs") => {
                     let j = index_in(obj, "job", j_count, lineno)?;
-                    out.tracker.central[j] = split_u64(get_str(obj, "arrivals", lineno)?, lineno)?;
+                    out.tracker.central[j] =
+                        runs(split_u64(get_str(obj, "arrivals", lineno)?, lineno)?);
                 }
                 Some("ckpt.local_jobs") => {
                     let i = index_in(obj, "dc", n, lineno)?;
@@ -529,11 +540,16 @@ impl Checkpoint {
                     if arrivals.len() != serviceable.len() || arrivals.len() != remaining.len() {
                         return Err(bad(lineno, "ragged local job lists"));
                     }
-                    out.tracker.local[i][j] = arrivals
+                    if let Some((&front, rest)) = remaining.split_first() {
+                        // verify: allow(float-eq): jobs behind the front are untouched, written as exactly 1
+                        if rest.iter().any(|&r| r != 1.0) {
+                            return Err(bad(lineno, "only the front job may be partly served"));
+                        }
+                        out.tracker.front_remaining[i][j] = front;
+                    }
+                    out.tracker.local[i][j] = runs(arrivals.into_iter().zip(serviceable))
                         .into_iter()
-                        .zip(serviceable)
-                        .zip(remaining)
-                        .map(|((a, s), r)| (a, s, r))
+                        .map(|((a, s), n)| (a, s, n))
                         .collect();
                 }
                 Some("ckpt.tracker_dc") => {
@@ -541,8 +557,16 @@ impl Checkpoint {
                     out.tracker.completed_per_dc[i] = get_u64(obj, "completed", lineno)?;
                     out.tracker.dc_delay_sum[i] =
                         parse_f64(get_str(obj, "delay_sum", lineno)?, lineno)?;
-                    out.tracker.dc_delay_samples[i] =
-                        split_f64(get_str(obj, "delay_samples", lineno)?, lineno)?;
+                    // Checkpoints written before the delay histogram carry
+                    // every completed job's delay instead.
+                    out.tracker.delay_hist[i] = match get_str(obj, "delay_hist", lineno) {
+                        Ok(hist) => split_u64(hist, lineno)?,
+                        Err(_) if obj.contains_key("delay_samples") => {
+                            let samples = get_str(obj, "delay_samples", lineno)?;
+                            legacy_delay_hist(samples, out.slot, lineno)?
+                        }
+                        Err(missing) => return Err(missing),
+                    };
                 }
                 Some("ckpt.series") => {
                     let values = split_f64(get_str(obj, "values", lineno)?, lineno)?;
@@ -680,6 +704,58 @@ fn join_u64(values: &[u64]) -> String {
         .join(",")
 }
 
+/// Comma-joins each value repeated `count` times: the one-entry-per-job
+/// list a run of cohorts stands for.
+fn join_runs<T: std::fmt::Display>(runs: impl Iterator<Item = (T, u64)>) -> String {
+    let mut out = String::new();
+    for (value, count) in runs {
+        let text = value.to_string();
+        for _ in 0..count {
+            if !out.is_empty() {
+                out.push(',');
+            }
+            out.push_str(&text);
+        }
+    }
+    out
+}
+
+/// Run-length encodes a one-entry-per-job list into `(value, count)`
+/// cohorts — the inverse of [`join_runs`].
+fn runs<T: PartialEq>(values: impl IntoIterator<Item = T>) -> Vec<(T, u64)> {
+    let mut out: Vec<(T, u64)> = Vec::new();
+    for value in values {
+        match out.last_mut() {
+            Some((last, n)) if *last == value => *n += 1,
+            _ => out.push((value, 1)),
+        }
+    }
+    out
+}
+
+/// Folds the per-job delay list of a checkpoint written before the delay
+/// histogram existed. Every delay must be a whole number of slots no later
+/// than the cut at `slot`.
+fn legacy_delay_hist(text: &str, slot: u64, line: usize) -> Result<Vec<u64>, SimError> {
+    let mut hist: Vec<u64> = Vec::new();
+    for delay in split_f64(text, line)? {
+        if !(delay >= 0.0 && delay <= slot as f64) || delay.fract() > 0.0 {
+            return Err(bad(
+                line,
+                &format!(
+                    "legacy delay sample {delay} is not a whole number of slots in [0, {slot}]"
+                ),
+            ));
+        }
+        let d = delay as usize;
+        if hist.len() <= d {
+            hist.resize(d + 1, 0);
+        }
+        hist[d] += 1;
+    }
+    Ok(hist)
+}
+
 fn parse_f64(text: &str, line: usize) -> Result<f64, SimError> {
     text.parse::<f64>()
         .map_err(|_| bad(line, &format!("bad float {text:?}")))
@@ -724,14 +800,15 @@ mod tests {
             queues_central: vec![2.0, 0.5],
             queues_local: vec![vec![1.0, 0.0], vec![0.25, 3.0]],
             tracker: TrackerSnapshot {
-                central: vec![vec![1, 2], vec![]],
+                central: vec![vec![(1, 1), (2, 3)], vec![]],
                 local: vec![
-                    vec![vec![(0, 1, 1.0), (0, 2, 0.125)], vec![]],
-                    vec![vec![], vec![(1, 2, 0.7)]],
+                    vec![vec![(0, 1, 1), (0, 2, 2)], vec![]],
+                    vec![vec![], vec![(1, 2, 1)]],
                 ],
+                front_remaining: vec![vec![0.125, 1.0], vec![1.0, 0.7]],
                 completed_per_dc: vec![4, 0],
-                dc_delay_sum: vec![5.5, 0.0],
-                dc_delay_samples: vec![vec![1.0, 2.0, 1.5, 1.0], vec![]],
+                dc_delay_sum: vec![5.0, 0.0],
+                delay_hist: vec![vec![0, 3, 1], vec![]],
                 completed_total: 4,
                 sojourn_sum: 9.25,
             },
@@ -817,6 +894,49 @@ mod tests {
                 ..LedgerSnapshot::default()
             }
         );
+    }
+
+    /// The sample with its `ckpt.tracker_dc` lines in the pre-histogram
+    /// form: every completed job's delay, in completion order.
+    fn with_legacy_samples(text: &str, dc0_samples: &str) -> String {
+        text.replace(
+            r#""delay_hist":"0,3,1""#,
+            &format!(r#""delay_samples":"{dc0_samples}""#),
+        )
+        .replace(r#""delay_hist":"""#, r#""delay_samples":"""#)
+    }
+
+    #[test]
+    fn legacy_delay_samples_fold_in_only_as_whole_slots_within_the_run() {
+        let legacy = with_legacy_samples(&sample().to_jsonl(), "1,2,1,1");
+        assert_eq!(Checkpoint::parse(&legacy).unwrap(), sample());
+        for bad_sample in ["1.5", "-1", "4", "NaN"] {
+            let text = with_legacy_samples(&sample().to_jsonl(), &format!("1,2,{bad_sample},1"));
+            match Checkpoint::parse(&text) {
+                Err(SimError::CheckpointFormat { line, message }) => {
+                    assert!(text
+                        .lines()
+                        .nth(line - 1)
+                        .unwrap()
+                        .contains("ckpt.tracker_dc"));
+                    assert!(message.contains("legacy delay sample"), "{message}");
+                }
+                other => panic!("{bad_sample}: expected a format error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_front_job_may_be_partly_served() {
+        let text = sample()
+            .to_jsonl()
+            .replace(r#""remaining":"0.125,1,1""#, r#""remaining":"1,0.125,1""#);
+        match Checkpoint::parse(&text) {
+            Err(SimError::CheckpointFormat { message, .. }) => {
+                assert!(message.contains("front job"), "{message}");
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 
     #[test]

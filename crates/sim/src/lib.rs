@@ -11,8 +11,8 @@
 //!   normalized speeds/powers, four organizations with fairness weights
 //!   40/30/15/15, diurnal prices calibrated to Table I averages, and a
 //!   Cosmos-like workload,
-//! * [`JobTracker`] — job-level FIFO tracking yielding *true per-job
-//!   delays* (not just queue-length proxies),
+//! * [`JobTracker`] — exact job-level FIFO tracking, by same-slot cohorts,
+//!   yielding *true per-job delays* (not just queue-length proxies),
 //! * [`Simulation`] — the slot loop: observe → decide → meter energy and
 //!   fairness → serve jobs → update queues (12)–(13),
 //! * [`SimulationReport`] — running averages exactly as in the paper's

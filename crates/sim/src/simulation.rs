@@ -283,9 +283,7 @@ impl RunState {
 
     fn into_report(self, scheduler: String, horizon: usize) -> SimulationReport {
         let n = self.dc_delay.len();
-        let dc_delay_quantiles = (0..n)
-            .map(|i| crate::stats::Quantiles::from_samples(self.tracker.dc_delay_samples(i)))
-            .collect();
+        let dc_delay_quantiles = (0..n).map(|i| self.tracker.dc_delay_quantiles(i)).collect();
         SimulationReport {
             scheduler,
             horizon,
@@ -840,11 +838,14 @@ impl Simulation {
             }
             rs.tracker.step(t as Slot, &decision);
             let raw_arrivals = self.inputs.arrivals(t);
-            let arrivals = match self.admission_cap {
-                None => raw_arrivals.to_vec(),
+            // Admission control trims a copy; without a cap the slot's
+            // arrivals are used in place.
+            let admitted;
+            let arrivals: &[f64] = match self.admission_cap {
+                None => raw_arrivals,
                 Some(cap) => {
-                    let mut admitted = raw_arrivals.to_vec();
-                    for (j, a) in admitted.iter_mut().enumerate() {
+                    let mut trimmed = raw_arrivals.to_vec();
+                    for (j, a) in trimmed.iter_mut().enumerate() {
                         // Queue after this slot's routing:
                         let after_route =
                             (rs.queues.central(j) - decision.routed.col_sum(j)).max(0.0);
@@ -854,17 +855,18 @@ impl Simulation {
                             *a = room;
                         }
                     }
-                    admitted
+                    admitted = trimmed;
+                    &admitted
                 }
             };
-            rs.tracker.arrive(t as Slot, &arrivals);
+            rs.tracker.arrive(t as Slot, arrivals);
             #[cfg(feature = "strict-invariants")]
             let prev_queues = rs.queues.clone();
             // Conservation ledger: account the slot's effective flows
             // against the pre-update queues, then apply the dynamics.
             rs.ledger
-                .account(&rs.queues, &decision, raw_arrivals, &arrivals);
-            rs.queues.apply(&decision, &arrivals);
+                .account(&rs.queues, &decision, raw_arrivals, arrivals);
+            rs.queues.apply(&decision, arrivals);
             if profiling {
                 obs.span_exit("queue.update");
             }
@@ -879,7 +881,7 @@ impl Simulation {
                     &self.config,
                     &prev_queues,
                     &decision,
-                    &arrivals,
+                    arrivals,
                     &rs.queues,
                 )
                 .and_then(|()| match self.queue_bound {

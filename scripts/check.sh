@@ -237,6 +237,13 @@ cargo bench -q -p grefar-bench --bench trace --offline -- --json "$report_tmp" >
     perf/BENCH_trace.json "$report_tmp/BENCH_trace.json" --threshold 300% > /dev/null
 echo "report tooling ok"
 
+# The repo benchmark's self-test (see benchmark/WORKLOADS.md): each output
+# check — ledger balance, occupancy bound, determinism, telemetry shape,
+# daemon journal conservation — must trip on a planted fault, or a green
+# benchmark run would prove nothing.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+echo "benchmark self-test ok"
+
 # Sanitizers (best effort — both stages need optional toolchain pieces,
 # so each gates on availability and skips with a notice rather than
 # failing a machine that lacks them; see DESIGN.md, "Correctness
